@@ -25,8 +25,6 @@ fn scheduler() -> Scheduler {
         parallel: ParallelConfig::with_threads(2),
         queue_capacity: 256,
         job_timeout: Duration::from_secs(30),
-        max_finished_jobs: 1024,
-        event_buffer: 64,
         qos: Default::default(),
         hardening: Default::default(),
     };

@@ -534,7 +534,7 @@ fn run_overload_mode(options: &Options) -> i32 {
         ("every POST reached the scheduler", submitted == posts),
         ("server sheds match client 503s", shed_total == shed),
         ("admitted = hits + coalesced + misses", served == admitted),
-        ("the ledger splits without loss", submitted == served + shed_total),
+        ("the ledger splits without loss", submitted == metrics.admission_ledger()),
         ("batch lane shed before fresh computes", shed_batch > 0 && shed_fresh > 0),
         ("the controller both climbed and recovered", transitions >= 2),
     ];

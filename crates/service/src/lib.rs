@@ -188,9 +188,7 @@ impl Service {
             parallel: config.parallel,
             queue_capacity: config.queue_capacity,
             job_timeout: config.job_timeout,
-            max_finished_jobs: 1024,
             qos: config.qos.clone(),
-            event_buffer: events::DEFAULT_EVENT_BUFFER,
             hardening: config.hardening.clone(),
         };
         let scheduler = Arc::new(Scheduler::with_journal(

@@ -251,6 +251,21 @@ impl Metrics {
         self.cache_hits_memory.get() + self.cache_hits_disk.get()
     }
 
+    /// The admission ledger: every valid submission books exactly one of
+    /// a cache hit (either tier), a coalesce, a miss, a quarantine hit,
+    /// or a brownout shed (batch, fresh, reject). Quota and queue-full
+    /// refusals are misses. Once every submission has returned, this
+    /// equals `jobs_submitted`.
+    pub fn admission_ledger(&self) -> u64 {
+        self.cache_hits()
+            + self.coalesced.get()
+            + self.cache_misses.get()
+            + self.quarantine_hits.get()
+            + self.overload_shed_batch.get()
+            + self.overload_shed_fresh.get()
+            + self.overload_shed_reject.get()
+    }
+
     /// Hit ratio over all cache lookups so far (0 when none).
     pub fn hit_ratio(&self) -> f64 {
         let hits = self.cache_hits();

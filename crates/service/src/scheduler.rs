@@ -1,16 +1,32 @@
 //! Job scheduler: bounded queue, in-flight dedup, timeouts, worker pool.
 //!
-//! Every submission is keyed by its canonical [`JobKey`]. The scheduler
-//! answers it from the cheapest source available, in order:
+//! Every submission is keyed by its canonical [`JobKey`]. A valid
+//! submission is decided in this order, and the first step that answers
+//! it wins:
 //!
-//! 1. **Result cache** (memory, then disk) — no job runs at all.
-//! 2. **In-flight coalescing** — an identical job is already queued or
+//! 1. **Brownout** — at overload stage 3 every submission is shed, and
+//!    from stage 1 the batch lane is ([`SubmitError::Overloaded`]).
+//! 2. **Result cache** (memory, then disk), looked up without the table
+//!    lock — no job runs at all.
+//! 3. **In-flight coalescing** — an identical job is already queued or
 //!    running; the submission attaches to it and no second computation
 //!    ever starts. This is what keeps a thundering herd of identical
 //!    requests at exactly one compute.
-//! 3. **Fresh execution** on the [`WorkerPool`], behind a bounded queue
+//! 4. **Cache re-check under the table lock** — the identical job may
+//!    have finished between steps 2 and 3.
+//! 5. **Quarantine pin** — a poison key lands on a born-terminal
+//!    `quarantined` record and never executes.
+//! 6. **Cached-only shed** — from overload stage 2 a fresh compute is
+//!    refused ([`SubmitError::Overloaded`]).
+//! 7. **Tenant quota** — [`SubmitError::QuotaExceeded`] when the tenant
+//!    already has its quota of jobs waiting.
+//! 8. **Fresh execution** on the [`WorkerPool`], behind a bounded queue
 //!    (submission fails fast with [`SubmitError::QueueFull`] when the
 //!    backlog is at capacity — HTTP turns that into 429).
+//!
+//! Each of these outcomes books exactly one admission-ledger term (see
+//! [`Metrics::admission_ledger`]), and every job leaves `queued` or
+//! `running` through one terminal transition.
 //!
 //! Timeouts are cooperative: a job that waited in the queue past its
 //! deadline is dropped without running (`TimedOut`); a job already
@@ -20,7 +36,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use nemfpga::request::ExperimentRequest;
@@ -34,7 +50,7 @@ use crate::cache::{CacheTier, CachedResult, ResultCache};
 use crate::events::{EventHub, EventKind, JobChannel};
 use crate::journal::{now_unix_ms, Journal, JournalRecord};
 use crate::key::{job_key, JobKey};
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, TenantMetrics};
 use crate::overload::{self, OverloadController, OverloadPolicy};
 use crate::qos::{FairQueue, Lane, QosPolicy, QuotaExceeded, TenantStats, DEFAULT_TENANT};
 
@@ -73,13 +89,20 @@ static OUTCOME_QUARANTINED: FaultPoint = FaultPoint::new("scheduler.outcome.quar
 static BUG_SKIP_DOUBLE_CHECK: FaultPoint = FaultPoint::new("bug.skip_cache_double_check");
 
 /// Bug-reintroduction switch: `Trigger` leaks the in-flight entry when
-/// a job completes, the "wedged in-flight table" failure mode.
+/// a job settles, the "wedged in-flight table" failure mode.
 static BUG_LEAK_INFLIGHT: FaultPoint = FaultPoint::new("bug.leak_inflight");
 
 /// The function that actually computes an experiment. Must be
 /// deterministic: equal requests must produce equal bytes (the cache and
 /// dedup layers assume it).
 pub type Executor = Arc<dyn Fn(&ExperimentRequest) -> Result<String, String> + Send + Sync>;
+
+/// Finished job records kept for `GET /jobs/:id` before eviction.
+const MAX_FINISHED_JOBS: usize = 1024;
+
+/// The watchdog polls ten times per quiet limit, but never less often
+/// than this.
+const WATCHDOG_MAX_POLL: Duration = Duration::from_millis(50);
 
 /// Scheduler knobs.
 #[derive(Debug, Clone)]
@@ -90,14 +113,10 @@ pub struct SchedulerConfig {
     pub queue_capacity: usize,
     /// Per-job deadline, measured from submission.
     pub job_timeout: Duration,
-    /// Finished job records kept for `GET /jobs/:id` before eviction.
-    pub max_finished_jobs: usize,
     /// Multi-tenant fair-share policy (weights, lanes, quotas). The
     /// default policy is single-tenant-neutral: weight 1 for everyone,
     /// no quotas.
     pub qos: QosPolicy,
-    /// Per-job progress event ring capacity.
-    pub event_buffer: usize,
     /// Execution-hardening knobs (quarantine, watchdog, budgets,
     /// brownout).
     pub hardening: HardeningConfig,
@@ -109,9 +128,7 @@ impl Default for SchedulerConfig {
             parallel: ParallelConfig::with_threads(2),
             queue_capacity: 256,
             job_timeout: Duration::from_secs(300),
-            max_finished_jobs: 1024,
             qos: QosPolicy::default(),
-            event_buffer: crate::events::DEFAULT_EVENT_BUFFER,
             hardening: HardeningConfig::default(),
         }
     }
@@ -132,8 +149,6 @@ pub struct HardeningConfig {
     /// heartbeat (cancel checkpoint or progress tick) is hard-failed.
     /// `0` disables the watchdog thread entirely.
     pub watchdog_factor: u32,
-    /// Watchdog poll cadence.
-    pub watchdog_poll: Duration,
     /// Per-job peak tracked-bytes ceiling, enforced at checkpoints and
     /// observed by the watchdog. `0` = track only, never enforce.
     pub job_budget_bytes: usize,
@@ -146,7 +161,6 @@ impl Default for HardeningConfig {
         Self {
             quarantine_threshold: 3,
             watchdog_factor: 4,
-            watchdog_poll: Duration::from_millis(50),
             job_budget_bytes: 0,
             overload: OverloadPolicy::default(),
         }
@@ -349,7 +363,6 @@ struct Shared {
     cache: Arc<ResultCache>,
     metrics: Arc<Metrics>,
     executor: Executor,
-    max_finished_jobs: usize,
     /// Per-job progress event channels, keyed by job id.
     events: EventHub,
     /// Write-ahead journal; `None` = durability off.
@@ -444,8 +457,10 @@ impl Scheduler {
         journal: Option<Arc<Journal>>,
     ) -> Self {
         let mut pool = WorkerPool::new(&config.parallel, config.queue_capacity);
+        let watchdog_quiet =
+            config.job_timeout.saturating_mul(config.hardening.watchdog_factor.max(1));
         let watchdog = (config.hardening.watchdog_factor > 0)
-            .then(|| pool.enable_watchdog(config.hardening.watchdog_poll));
+            .then(|| pool.enable_watchdog(WATCHDOG_MAX_POLL.min(watchdog_quiet / 10)));
         let shared = Arc::new(Shared {
             table: Mutex::new(Table {
                 next_id: 1,
@@ -461,14 +476,11 @@ impl Scheduler {
             cache: Arc::new(cache),
             metrics,
             executor,
-            max_finished_jobs: config.max_finished_jobs.max(1),
-            events: EventHub::new(config.event_buffer.max(1)),
+            events: EventHub::new(crate::events::DEFAULT_EVENT_BUFFER),
             journal,
             draining: AtomicBool::new(false),
             watchdog,
-            watchdog_quiet: config
-                .job_timeout
-                .saturating_mul(config.hardening.watchdog_factor.max(1)),
+            watchdog_quiet,
             overload: OverloadController::new(config.hardening.overload.clone()),
             hardening: config.hardening.clone(),
         });
@@ -484,14 +496,19 @@ impl Scheduler {
         self.submit_opts(request, SubmitOptions::default())
     }
 
-    /// Submits a request: cache lookup → in-flight coalescing → fresh
-    /// execution.
+    /// Submits a request, deciding it in the admission order of the
+    /// module docs: brownout, cache, coalescing, the under-lock cache
+    /// re-check, the quarantine pin, the cached-only shed, the tenant
+    /// quota, and the queue.
     ///
     /// # Errors
     ///
-    /// [`SubmitError::Invalid`] for malformed requests,
-    /// [`SubmitError::QueueFull`] when the backlog is at capacity,
-    /// [`SubmitError::Draining`] once a drain has begun.
+    /// [`SubmitError::Invalid`] for malformed requests or tenant names,
+    /// [`SubmitError::Draining`] once a drain has begun,
+    /// [`SubmitError::Overloaded`] when the brownout sheds the
+    /// submission, [`SubmitError::QuotaExceeded`] when the tenant is
+    /// over its queue quota, and [`SubmitError::QueueFull`] when the
+    /// backlog is at capacity.
     pub fn submit_opts(
         &self,
         request: ExperimentRequest,
@@ -506,7 +523,6 @@ impl Scheduler {
                 name.to_owned()
             }
         };
-        let lane = opts.lane;
         if self.shared.draining.load(AtomicOrdering::SeqCst) {
             return Err(SubmitError::Draining);
         }
@@ -515,180 +531,97 @@ impl Scheduler {
         metrics.jobs_submitted.inc();
         let tenant_metrics = metrics.tenant(&tenant);
         tenant_metrics.submitted.inc();
+        let (admission, result) = self.admit(request, &opts, key, tenant);
+        book(metrics, &tenant_metrics, admission);
+        result
+    }
 
+    /// Decides one valid submission (see [`Scheduler::submit_opts`]) and
+    /// names the ledger term it books. Returns with the table lock
+    /// released.
+    fn admit(
+        &self,
+        request: ExperimentRequest,
+        opts: &SubmitOptions,
+        key: JobKey,
+        tenant: String,
+    ) -> (Admission, Result<Submission, SubmitError>) {
+        let lane = opts.lane;
         // Brownout admission: re-evaluate the controller against the
         // live signals, then shed by stage. Stage 3 refuses everything;
         // stage 1+ refuses the batch lane before any tier is consulted.
         let stage = evaluate_overload(&self.shared);
         if stage >= overload::STAGE_REJECT {
-            metrics.overload_shed_reject.inc();
-            tenant_metrics.rejected.inc();
-            let _ = OUTCOME_REJECTED.fire().apply_basic();
-            return Err(SubmitError::Overloaded(stage));
+            return (Admission::ShedReject, Err(SubmitError::Overloaded(stage)));
         }
         if stage >= overload::STAGE_SHED_BATCH && lane == Lane::Batch {
-            metrics.overload_shed_batch.inc();
-            tenant_metrics.rejected.inc();
-            let _ = OUTCOME_REJECTED.fire().apply_basic();
-            return Err(SubmitError::Overloaded(stage));
+            return (Admission::ShedBatch, Err(SubmitError::Overloaded(stage)));
         }
 
         // Tier 1/2: the cache. A hit satisfies any deadline.
-        if let Some((hit, tier)) = self.shared.cache.get(&key) {
-            match tier {
-                CacheTier::Memory => metrics.cache_hits_memory.inc(),
-                CacheTier::Disk => metrics.cache_hits_disk.inc(),
-            };
-            tenant_metrics.cache_hits.inc();
-            if opts.already_journaled {
-                // Recovery replay answered from the cache: close the
-                // journaled submission out so it is not replayed again.
-                journal_append(
-                    &self.shared,
-                    &JournalRecord::Done {
-                        key: key.as_hex().to_owned(),
-                        state: JobState::Done.name().to_owned(),
-                    },
-                );
-            }
-            let status = self.insert_finished(key, request, hit.output, &tenant, lane);
-            let _ = OUTCOME_CACHED.fire().apply_basic();
-            return Ok(Submission { status, coalesced: false, cache_tier: Some(tier) });
+        let mut hit = self.shared.cache.get(&key);
+        if hit.is_none() {
+            let _ = FAULT_PRE_TABLE_LOCK.fire().apply_basic();
         }
-        let _ = FAULT_PRE_TABLE_LOCK.fire().apply_basic();
-
-        // In-flight coalescing, then fresh execution. Both paths hold the
-        // table lock so two identical concurrent submissions cannot both
-        // decide to compute.
+        // Everything below holds the table lock, so two identical
+        // concurrent submissions cannot both decide to compute.
         let mut table = self.shared.table.lock().expect("job table poisoned");
-        if let Some(&id) = table.inflight.get(key.as_hex()) {
-            let record = table.records.get_mut(&id).expect("in-flight job has a record");
-            record.status.coalesced_submissions += 1;
-            metrics.coalesced.inc();
-            tenant_metrics.coalesced.inc();
-            let status = record.status.clone();
-            drop(table);
-            let _ = OUTCOME_COALESCED.fire().apply_basic();
-            return Ok(Submission { status, coalesced: true, cache_tier: None });
-        }
-
-        // The first cache lookup can race with completion: the identical
-        // in-flight job may finish between that miss and taking the table
-        // lock, leaving the key in neither `inflight` nor (yet) this
-        // submission's view of the cache. `run_job` publishes to the cache
-        // *before* deregistering from `inflight`, so re-checking the cache
-        // under the table lock is decisive — without it the loser of the
-        // race would recompute a result it could have served.
-        if BUG_SKIP_DOUBLE_CHECK.fire() != FaultAction::Trigger {
-            if let Some((hit, tier)) = self.shared.cache.get(&key) {
-                drop(table);
-                match tier {
-                    CacheTier::Memory => metrics.cache_hits_memory.inc(),
-                    CacheTier::Disk => metrics.cache_hits_disk.inc(),
-                };
-                tenant_metrics.cache_hits.inc();
-                let status = self.insert_finished(key, request, hit.output, &tenant, lane);
-                let _ = OUTCOME_CACHED.fire().apply_basic();
-                return Ok(Submission { status, coalesced: false, cache_tier: Some(tier) });
-            }
-        }
-
-        // Poison short-circuit: a quarantined key (or one that crossed
-        // the threshold in a previous incarnation and is pinned on this
-        // resubmission) never executes again — the submission lands on a
-        // born-terminal `quarantined` record carrying the structured
-        // error. Checked under the table lock, after coalescing, so a
-        // key's last in-flight attempt and its pin cannot race.
-        let threshold = self.shared.hardening.quarantine_threshold;
-        if threshold > 0 {
-            let mut pinned = table.quarantined.get(key.as_hex()).cloned();
-            if pinned.is_none() {
-                if let Some((count, reason)) =
-                    table.attempts.get(key.as_hex()).filter(|(count, _)| *count >= threshold)
-                {
-                    let error = quarantine_message(*count, reason);
-                    table.attempts.remove(key.as_hex());
-                    table.quarantined.insert(key.as_hex().to_owned(), error.clone());
-                    metrics.jobs_quarantined.inc();
-                    journal_append(
-                        &self.shared,
-                        &JournalRecord::Quarantined {
-                            key: key.as_hex().to_owned(),
-                            error: error.clone(),
-                        },
-                    );
-                    pinned = Some(error);
-                }
-            }
-            if let Some(error) = pinned {
-                metrics.quarantine_hits.inc();
-                tenant_metrics.errored.inc();
-                if opts.already_journaled {
-                    // A recovery replay of a poisoned pending job: close
-                    // its journaled submission out as quarantined.
-                    journal_append(
-                        &self.shared,
-                        &JournalRecord::Done {
-                            key: key.as_hex().to_owned(),
-                            state: JobState::Quarantined.name().to_owned(),
-                        },
-                    );
-                }
-                let id = table.next_id;
-                table.next_id += 1;
-                let status = JobStatus {
-                    id,
-                    key: key.clone(),
-                    request,
-                    state: JobState::Quarantined,
-                    output: None,
-                    error: Some(error),
-                    cached: false,
-                    coalesced_submissions: 0,
-                    tenant: tenant.clone(),
-                    lane,
-                };
-                let now = Instant::now();
-                table.records.insert(
-                    id,
-                    Record {
-                        status: status.clone(),
-                        deadline: now,
-                        submitted_at: now,
-                        client_deadline: None,
-                        cancel: CancelToken::new(),
-                        budget: Arc::new(BudgetCell::new(0)),
-                    },
+        if hit.is_none() {
+            if let Some(&id) = table.inflight.get(key.as_hex()) {
+                let record = table.records.get_mut(&id).expect("in-flight job has a record");
+                record.status.coalesced_submissions += 1;
+                let status = record.status.clone();
+                return (
+                    Admission::Coalesced,
+                    Ok(Submission { status, coalesced: true, cache_tier: None }),
                 );
-                publish_terminal(&self.shared, id, JobState::Quarantined);
-                finish_bookkeeping(&mut table, &self.shared, id);
-                drop(table);
-                let _ = OUTCOME_QUARANTINED.fire().apply_basic();
-                return Ok(Submission { status, coalesced: false, cache_tier: None });
             }
+            // The first cache lookup can race with completion: the
+            // identical in-flight job may finish between that miss and
+            // taking the table lock, leaving the key in neither
+            // `inflight` nor (yet) this submission's view of the cache.
+            // `run_job` publishes to the cache *before* deregistering
+            // from `inflight`, so re-checking the cache under the table
+            // lock is decisive — without it the loser of the race would
+            // recompute a result it could have served.
+            if BUG_SKIP_DOUBLE_CHECK.fire() != FaultAction::Trigger {
+                hit = self.shared.cache.get(&key);
+            }
+        }
+        // A cache hit, else the poison short-circuit: a quarantined key
+        // (or one that crossed the threshold in a previous incarnation
+        // and is pinned on this resubmission) never executes again. Both
+        // land on a born-terminal record. The pin is checked under the
+        // table lock, after coalescing, so a key's last in-flight attempt
+        // and its pin cannot race.
+        let answer = match hit {
+            Some((hit, tier)) => Some((Admission::Hit(tier), Some(tier), Ok(hit.output))),
+            None if self.shared.hardening.quarantine_threshold > 0 => table
+                .quarantined
+                .get(key.as_hex())
+                .cloned()
+                .or_else(|| pin_if_due(&mut table, &self.shared, key.as_hex()))
+                .map(|error| (Admission::Quarantined, None, Err(error))),
+            None => None,
+        };
+        if let Some((admission, cache_tier, result)) = answer {
+            let status =
+                insert_born_terminal(&mut table, &self.shared, key, request, tenant, opts, result);
+            return (admission, Ok(Submission { status, coalesced: false, cache_tier }));
         }
 
         // Stage 2 (cached-only): everything above — hits, coalesces,
         // quarantine answers — still serves; a fresh compute does not.
         if stage >= overload::STAGE_CACHED_ONLY {
-            drop(table);
-            metrics.overload_shed_fresh.inc();
-            tenant_metrics.rejected.inc();
-            let _ = OUTCOME_REJECTED.fire().apply_basic();
-            return Err(SubmitError::Overloaded(stage));
+            return (Admission::ShedFresh, Err(SubmitError::Overloaded(stage)));
         }
 
-        metrics.cache_misses.inc();
         let id = table.next_id;
         table.next_id += 1;
         // Per-tenant admission: the queue quota rejects before any record
         // exists, so a rejected submission leaves no trace but counters.
         if let Err(quota) = table.qos.enqueue(&tenant, lane, id) {
-            metrics.jobs_rejected.inc();
-            tenant_metrics.rejected.inc();
-            drop(table);
-            let _ = OUTCOME_REJECTED.fire().apply_basic();
-            return Err(SubmitError::QuotaExceeded(quota));
+            return (Admission::Refused, Err(SubmitError::QuotaExceeded(quota)));
         }
         let status = JobStatus {
             id,
@@ -742,18 +675,13 @@ impl Scheduler {
         );
 
         let shared = Arc::clone(&self.shared);
-        let submit_result = self.pool.try_submit(move || run_next(&shared));
-        if submit_result.is_err() {
+        if self.pool.try_submit(move || run_next(&shared)).is_err() {
             // Roll the record back; the submission never happened.
             table.records.remove(&id);
             table.inflight.remove(key.as_hex());
             table.qos.remove(&tenant, lane, id);
             self.shared.events.remove(id);
-            metrics.jobs_rejected.inc();
-            tenant_metrics.rejected.inc();
-            drop(table);
-            let _ = OUTCOME_REJECTED.fire().apply_basic();
-            return Err(SubmitError::QueueFull);
+            return (Admission::Refused, Err(SubmitError::QueueFull));
         }
         // Write-ahead of the client's ack: the accepted job is durable
         // before `submit` returns. Appended under the table lock so the
@@ -765,9 +693,7 @@ impl Scheduler {
                     .with_class(&tenant, lane),
             );
         }
-        drop(table);
-        let _ = OUTCOME_FRESH.fire().apply_basic();
-        Ok(Submission { status, coalesced: false, cache_tier: None })
+        (Admission::Fresh, Ok(Submission { status, coalesced: false, cache_tier: None }))
     }
 
     /// Requests cancellation of job `id`, returning its post-cancel
@@ -782,39 +708,19 @@ impl Scheduler {
         if record.status.state.is_terminal() {
             return Some(record.status.clone());
         }
+        record.cancel.cancel();
         if record.status.state == JobState::Running {
-            record.cancel.cancel();
             return Some(record.status.clone());
         }
         // Queued: cancel in place — the worker's pickup sees a terminal
-        // record and returns without running anything.
-        record.cancel.cancel();
-        record.status.state = JobState::Cancelled;
-        record.status.error = Some("cancelled".to_owned());
-        let status = record.status.clone();
-        let submitted_at = record.submitted_at;
-        self.shared.metrics.jobs_cancelled.inc();
-        self.shared.metrics.job_latency_us.record_duration(submitted_at.elapsed());
-        let tenant_metrics = self.shared.metrics.tenant(&status.tenant);
-        tenant_metrics.errored.inc();
-        tenant_metrics.latency_us.record_duration(submitted_at.elapsed());
-        let key_hex = status.key.as_hex().to_owned();
-        table.inflight.remove(&key_hex);
-        // Release the tenant's queue slot. The job may already have been
+        // record and returns without running anything. Release the
+        // tenant's queue slot first. The job may already have been
         // dequeued (its worker will see the terminal record and back
         // off), in which case the remove is a no-op.
-        table.qos.remove(&status.tenant, status.lane, id);
-        publish_terminal(&self.shared, id, JobState::Cancelled);
-        finish_bookkeeping(&mut table, &self.shared, id);
-        if !self.shared.draining.load(AtomicOrdering::SeqCst) {
-            journal_append(
-                &self.shared,
-                &JournalRecord::Done { key: key_hex, state: JobState::Cancelled.name().to_owned() },
-            );
-        }
-        drop(table);
-        self.shared.job_done.notify_all();
-        Some(status)
+        let (tenant, lane) = (record.status.tenant.clone(), record.status.lane);
+        table.qos.remove(&tenant, lane, id);
+        settle(&mut table, &self.shared, id, JobState::Cancelled, Err("cancelled".to_owned()));
+        table.records.get(&id).map(|r| r.status.clone())
     }
 
     /// Enters drain mode: every subsequent submission fails with
@@ -831,23 +737,31 @@ impl Scheduler {
     /// Blocks until no job is in flight (queued or running) or `timeout`
     /// elapses; true means quiesced.
     pub fn await_quiesce(&self, timeout: Duration) -> bool {
+        self.wait_until(timeout, |table| table.inflight.is_empty()).inflight.is_empty()
+    }
+
+    /// Blocks on `job_done` until `ready` holds or `timeout` elapses,
+    /// returning the table lock either way.
+    fn wait_until(
+        &self,
+        timeout: Duration,
+        ready: impl Fn(&Table) -> bool,
+    ) -> MutexGuard<'_, Table> {
         let deadline = Instant::now() + timeout;
         let mut table = self.shared.table.lock().expect("job table poisoned");
-        loop {
-            if table.inflight.is_empty() {
-                return true;
-            }
+        while !ready(&table) {
             let now = Instant::now();
             if now >= deadline {
-                return false;
+                break;
             }
-            let (guard, _) = self
+            table = self
                 .shared
                 .job_done
                 .wait_timeout(table, deadline - now)
-                .expect("job table poisoned");
-            table = guard;
+                .expect("job table poisoned")
+                .0;
         }
+        table
     }
 
     /// Cancels every non-terminal job (the drain's force phase). During
@@ -913,24 +827,10 @@ impl Scheduler {
     /// Blocks until job `id` reaches a terminal state or `max_wait`
     /// elapses, returning the final snapshot either way.
     pub fn wait_for(&self, id: u64, max_wait: Duration) -> Option<JobStatus> {
-        let deadline = Instant::now() + max_wait;
-        let mut table = self.shared.table.lock().expect("job table poisoned");
-        loop {
-            let status = table.records.get(&id)?.status.clone();
-            if status.state.is_terminal() {
-                return Some(status);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Some(status);
-            }
-            let (guard, _) = self
-                .shared
-                .job_done
-                .wait_timeout(table, deadline - now)
-                .expect("job table poisoned");
-            table = guard;
-        }
+        let table = self.wait_until(max_wait, |table| {
+            table.records.get(&id).is_none_or(|r| r.status.state.is_terminal())
+        });
+        table.records.get(&id).map(|r| r.status.clone())
     }
 
     /// Jobs waiting in the queue right now (accepted, not yet picked by
@@ -1012,66 +912,58 @@ impl Scheduler {
     pub fn overload_stage(&self) -> u8 {
         self.shared.overload.stage()
     }
-
-    fn insert_finished(
-        &self,
-        key: JobKey,
-        request: ExperimentRequest,
-        output: String,
-        tenant: &str,
-        lane: Lane,
-    ) -> JobStatus {
-        let mut table = self.shared.table.lock().expect("job table poisoned");
-        let id = table.next_id;
-        table.next_id += 1;
-        let status = JobStatus {
-            id,
-            key,
-            request,
-            state: JobState::Done,
-            output: Some(output),
-            error: None,
-            cached: true,
-            coalesced_submissions: 0,
-            tenant: tenant.to_owned(),
-            lane,
-        };
-        let now = Instant::now();
-        table.records.insert(
-            id,
-            Record {
-                status: status.clone(),
-                deadline: now,
-                submitted_at: now,
-                client_deadline: None,
-                cancel: CancelToken::new(),
-                budget: Arc::new(BudgetCell::new(0)),
-            },
-        );
-        // Cache-answered jobs are born terminal: their event stream is a
-        // single `done` frame so subscribers terminate immediately.
-        publish_terminal(&self.shared, id, JobState::Done);
-        finish_bookkeeping(&mut table, &self.shared, id);
-        status
-    }
-}
-
-/// How a job's unwind was classified when it did not complete normally.
-/// Abnormal endings count toward the poison-quarantine threshold; a
-/// plain user cancel does not.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Abnormal {
-    /// The executor panicked with its own payload.
-    Panic,
-    /// The watchdog killed the job for lack of progress.
-    Watchdog,
-    /// The job exceeded its memory budget.
-    Budget,
 }
 
 /// The structured error a quarantined key serves forever after.
 fn quarantine_message(attempts: u32, last_reason: &str) -> String {
     format!("quarantined after {attempts} failed attempts; last failure: {last_reason}")
+}
+
+/// The admission-ledger term one valid submission books: exactly one
+/// per submission, so `jobs_submitted` always equals
+/// [`Metrics::admission_ledger`] once every submission has returned.
+#[derive(Debug, Clone, Copy)]
+enum Admission {
+    Hit(CacheTier),
+    Coalesced,
+    Fresh,
+    Quarantined,
+    ShedBatch,
+    ShedFresh,
+    ShedReject,
+    /// A miss the queue refused, over the tenant quota or with the queue
+    /// full: it never gets a record.
+    Refused,
+}
+
+/// Books `admission`: its ledger term, the tenant's matching counter,
+/// and its `scheduler.outcome.*` probe. Runs after the table lock is
+/// released, so a probe may block.
+fn book(m: &Metrics, t: &TenantMetrics, admission: Admission) {
+    let (term, tenant_term, probe) = match admission {
+        Admission::Hit(CacheTier::Memory) => {
+            (&m.cache_hits_memory, Some(&t.cache_hits), &OUTCOME_CACHED)
+        }
+        Admission::Hit(CacheTier::Disk) => {
+            (&m.cache_hits_disk, Some(&t.cache_hits), &OUTCOME_CACHED)
+        }
+        Admission::Coalesced => (&m.coalesced, Some(&t.coalesced), &OUTCOME_COALESCED),
+        // The tenant books a fresh job when it settles.
+        Admission::Fresh => (&m.cache_misses, None, &OUTCOME_FRESH),
+        Admission::Quarantined => (&m.quarantine_hits, Some(&t.errored), &OUTCOME_QUARANTINED),
+        Admission::ShedBatch => (&m.overload_shed_batch, Some(&t.rejected), &OUTCOME_REJECTED),
+        Admission::ShedFresh => (&m.overload_shed_fresh, Some(&t.rejected), &OUTCOME_REJECTED),
+        Admission::ShedReject => (&m.overload_shed_reject, Some(&t.rejected), &OUTCOME_REJECTED),
+        Admission::Refused => {
+            m.jobs_rejected.inc();
+            (&m.cache_misses, Some(&t.rejected), &OUTCOME_REJECTED)
+        }
+    };
+    term.inc();
+    if let Some(counter) = tenant_term {
+        counter.inc();
+    }
+    let _ = probe.fire().apply_basic();
 }
 
 /// Re-evaluates the brownout controller against the live signals (queue
@@ -1103,12 +995,143 @@ fn evaluate_overload(shared: &Shared) -> u8 {
 /// its event channel) beyond the cap. Caller holds the table lock.
 fn finish_bookkeeping(table: &mut Table, shared: &Shared, id: u64) {
     table.finished_order.push_back(id);
-    while table.finished_order.len() > shared.max_finished_jobs {
+    while table.finished_order.len() > MAX_FINISHED_JOBS {
         if let Some(old) = table.finished_order.pop_front() {
             table.records.remove(&old);
             shared.events.remove(old);
         }
     }
+}
+
+/// Inserts a record that is terminal from birth: a cache answer
+/// (`Ok(output)`, state `done`) or a quarantine short-circuit
+/// (`Err(error)`, state `quarantined`). Its event stream is the single
+/// terminal frame, so subscribers finish at once. A recovery replay
+/// (`already_journaled`) also closes its journaled submission out, so
+/// it is not replayed again. Caller holds the table lock.
+fn insert_born_terminal(
+    table: &mut Table,
+    shared: &Shared,
+    key: JobKey,
+    request: ExperimentRequest,
+    tenant: String,
+    opts: &SubmitOptions,
+    result: Result<String, String>,
+) -> JobStatus {
+    let state = if result.is_ok() { JobState::Done } else { JobState::Quarantined };
+    if opts.already_journaled {
+        journal_append(
+            shared,
+            &JournalRecord::Done { key: key.as_hex().to_owned(), state: state.name().to_owned() },
+        );
+    }
+    let id = table.next_id;
+    table.next_id += 1;
+    let (output, error) = match result {
+        Ok(output) => (Some(output), None),
+        Err(error) => (None, Some(error)),
+    };
+    let status = JobStatus {
+        id,
+        key,
+        request,
+        state,
+        output,
+        error,
+        cached: state == JobState::Done,
+        coalesced_submissions: 0,
+        tenant,
+        lane: opts.lane,
+    };
+    let now = Instant::now();
+    table.records.insert(
+        id,
+        Record {
+            status: status.clone(),
+            deadline: now,
+            submitted_at: now,
+            client_deadline: None,
+            cancel: CancelToken::new(),
+            budget: Arc::new(BudgetCell::new(0)),
+        },
+    );
+    publish_terminal(shared, id, state);
+    finish_bookkeeping(table, shared, id);
+    status
+}
+
+/// The one terminal transition: moves queued or running job `id` to
+/// terminal `state`, with `result` as its output (`Ok`) or error
+/// (`Err`). Books the state's counter, the tenant's `completed` or
+/// `errored`, and the submit→terminal latency; frees the key's in-flight
+/// entry; publishes the terminal event; and journals `done{state}` —
+/// except for a cancel during a drain, whose record stays open so the
+/// restarted service resumes the job. Caller holds the table lock.
+fn settle(
+    table: &mut Table,
+    shared: &Shared,
+    id: u64,
+    state: JobState,
+    result: Result<String, String>,
+) {
+    let metrics = &shared.metrics;
+    let record = table.records.get_mut(&id).expect("a queued or running job keeps its record");
+    record.status.state = state;
+    match result {
+        Ok(output) => record.status.output = Some(output),
+        Err(error) => record.status.error = Some(error),
+    }
+    match state {
+        JobState::Done => metrics.jobs_completed.inc(),
+        JobState::Failed => metrics.jobs_failed.inc(),
+        JobState::TimedOut => metrics.jobs_timed_out.inc(),
+        JobState::Expired => metrics.jobs_expired.inc(),
+        JobState::Cancelled => metrics.jobs_cancelled.inc(),
+        // Counted once, as `jobs_quarantined`, when the key was pinned.
+        JobState::Quarantined => {}
+        JobState::Queued | JobState::Running => unreachable!("settle takes a terminal state"),
+    }
+    let tenant_metrics = metrics.tenant(&record.status.tenant);
+    if state == JobState::Done {
+        tenant_metrics.completed.inc();
+    } else {
+        tenant_metrics.errored.inc();
+    }
+    let latency = record.submitted_at.elapsed();
+    metrics.job_latency_us.record_duration(latency);
+    tenant_metrics.latency_us.record_duration(latency);
+    let key_hex = record.status.key.as_hex().to_owned();
+    if BUG_LEAK_INFLIGHT.fire() != FaultAction::Trigger {
+        table.inflight.remove(&key_hex);
+    }
+    publish_terminal(shared, id, state);
+    finish_bookkeeping(table, shared, id);
+    if !(state == JobState::Cancelled && shared.draining.load(AtomicOrdering::SeqCst)) {
+        journal_append(
+            shared,
+            &JournalRecord::Done { key: key_hex, state: state.name().to_owned() },
+        );
+    }
+    shared.job_done.notify_all();
+}
+
+/// Pins `key` as poison once its abnormal-failure tally has reached the
+/// quarantine threshold, journaling the pin. Returns the structured
+/// error it now serves, or `None` while the key is below the threshold.
+/// Caller holds the table lock.
+fn pin_if_due(table: &mut Table, shared: &Shared, key: &str) -> Option<String> {
+    let threshold = shared.hardening.quarantine_threshold;
+    let (count, reason) =
+        table.attempts.get(key).filter(|(count, _)| threshold > 0 && *count >= threshold)?;
+    let error = quarantine_message(*count, reason);
+    table.attempts.remove(key);
+    table.quarantined.insert(key.to_owned(), error.clone());
+    shared.metrics.jobs_quarantined.inc();
+    journal_append(
+        shared,
+        &JournalRecord::Quarantined { key: key.to_owned(), error: error.clone() },
+    );
+    Some(error)
 }
 
 /// One worker-pool tick. Ticks are submitted 1:1 with accepted jobs but
@@ -1143,7 +1166,7 @@ fn run_next(shared: &Arc<Shared>) {
 
 /// Worker-side execution of job `id`.
 fn run_job(shared: &Arc<Shared>, id: u64) {
-    let (request, key, submitted_at, cancel, tenant, budget) = {
+    let (request, key, submitted_at, cancel, budget) = {
         let mut table = shared.table.lock().expect("job table poisoned");
         let Some(record) = table.records.get_mut(&id) else { return };
         if record.status.state.is_terminal() {
@@ -1152,46 +1175,17 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             return;
         }
         let now = Instant::now();
-        if now > record.deadline {
-            let key_hex = record.status.key.as_hex().to_owned();
-            record.status.state = JobState::TimedOut;
-            record.status.error = Some("timed out waiting in queue".to_owned());
-            shared.metrics.jobs_timed_out.inc();
-            shared.metrics.job_latency_us.record_duration(record.submitted_at.elapsed());
-            let tenant_metrics = shared.metrics.tenant(&record.status.tenant);
-            tenant_metrics.errored.inc();
-            tenant_metrics.latency_us.record_duration(record.submitted_at.elapsed());
-            table.inflight.remove(&key_hex);
-            publish_terminal(shared, id, JobState::TimedOut);
-            finish_bookkeeping(&mut table, shared, id);
-            journal_append(
-                shared,
-                &JournalRecord::Done { key: key_hex, state: JobState::TimedOut.name().to_owned() },
-            );
-            drop(table);
-            shared.job_done.notify_all();
-            return;
-        }
-        // Deadline shedding: if the client's deadline already passed,
-        // executing could only produce an answer nobody is waiting for.
-        if record.client_deadline.is_some_and(|d| now > d) {
-            let key_hex = record.status.key.as_hex().to_owned();
-            record.status.state = JobState::Expired;
-            record.status.error = Some("deadline_ms exceeded before execution".to_owned());
-            shared.metrics.jobs_expired.inc();
-            shared.metrics.job_latency_us.record_duration(record.submitted_at.elapsed());
-            let tenant_metrics = shared.metrics.tenant(&record.status.tenant);
-            tenant_metrics.errored.inc();
-            tenant_metrics.latency_us.record_duration(record.submitted_at.elapsed());
-            table.inflight.remove(&key_hex);
-            publish_terminal(shared, id, JobState::Expired);
-            finish_bookkeeping(&mut table, shared, id);
-            journal_append(
-                shared,
-                &JournalRecord::Done { key: key_hex, state: JobState::Expired.name().to_owned() },
-            );
-            drop(table);
-            shared.job_done.notify_all();
+        let dropped = if now > record.deadline {
+            Some((JobState::TimedOut, "timed out waiting in queue"))
+        } else if record.client_deadline.is_some_and(|d| now > d) {
+            // Deadline shedding: if the client's deadline already passed,
+            // executing could only produce an answer nobody is waiting for.
+            Some((JobState::Expired, "deadline_ms exceeded before execution"))
+        } else {
+            None
+        };
+        if let Some((state, error)) = dropped {
+            settle(&mut table, shared, id, state, Err(error.to_owned()));
             return;
         }
         record.status.state = JobState::Running;
@@ -1205,7 +1199,6 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
             record.status.key.clone(),
             record.submitted_at,
             record.cancel.clone(),
-            record.status.tenant.clone(),
             Arc::clone(&record.budget),
         )
     };
@@ -1274,35 +1267,27 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     // abnormal failures (they feed the quarantine tally), never as
     // cancellations.
     let fired = watch.as_ref().and_then(|w| w.fired());
-    let (outcome, abnormal): (Result<String, String>, Option<Abnormal>) = match caught {
-        Ok(result) => (result, None),
+    let budget_error = |peak: usize, limit: usize| {
+        format!("budget exceeded: peak {peak} bytes over {limit}-byte limit")
+    };
+    let (outcome, abnormal) = match caught {
+        Ok(result) => (result, false),
         Err(panic) => {
             if let Some(breach) = panic.downcast_ref::<budget::BudgetPanic>() {
-                (
-                    Err(format!(
-                        "budget exceeded: peak {} bytes over {}-byte limit",
-                        breach.peak_bytes, breach.limit_bytes
-                    )),
-                    Some(Abnormal::Budget),
-                )
+                shared.metrics.budget_breached.inc();
+                (Err(budget_error(breach.peak_bytes, breach.limit_bytes)), true)
             } else if cancel::is_cancel_payload(panic.as_ref()) {
                 match fired {
-                    Some(WatchdogFired::Stalled) => (
-                        Err(format!(
-                            "watchdog: no progress within {} ms",
-                            shared.watchdog_quiet.as_millis()
-                        )),
-                        Some(Abnormal::Watchdog),
-                    ),
-                    Some(WatchdogFired::BudgetBreached) => (
-                        Err(format!(
-                            "budget exceeded: peak {} bytes over {}-byte limit",
-                            budget.peak_bytes(),
-                            budget.limit()
-                        )),
-                        Some(Abnormal::Budget),
-                    ),
-                    None => (Err("cancelled".to_owned()), None),
+                    Some(WatchdogFired::Stalled) => {
+                        shared.metrics.watchdog_fired.inc();
+                        let quiet_ms = shared.watchdog_quiet.as_millis();
+                        (Err(format!("watchdog: no progress within {quiet_ms} ms")), true)
+                    }
+                    Some(WatchdogFired::BudgetBreached) => {
+                        shared.metrics.budget_breached.inc();
+                        (Err(budget_error(budget.peak_bytes(), budget.limit())), true)
+                    }
+                    None => (Err("cancelled".to_owned()), false),
                 }
             } else {
                 let msg = panic
@@ -1310,7 +1295,7 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
                     .map(|s| (*s).to_owned())
                     .or_else(|| panic.downcast_ref::<String>().cloned())
                     .unwrap_or_else(|| "unknown panic".to_owned());
-                (Err(format!("executor panicked: {msg}")), Some(Abnormal::Panic))
+                (Err(format!("executor panicked: {msg}")), true)
             }
         }
     };
@@ -1336,111 +1321,39 @@ fn run_job(shared: &Arc<Shared>, id: u64) {
     // the result is valid and cached. An error with the token cancelled
     // is a cancellation *only* when the unwind was not abnormal — the
     // watchdog kills jobs through that same token.
-    let mut final_state = match (&outcome, &abnormal) {
-        (Ok(_), _) => JobState::Done,
-        (Err(_), None) if cancel.is_cancelled() => JobState::Cancelled,
-        (Err(_), _) => JobState::Failed,
+    let (mut state, mut result) = match outcome {
+        Ok(output) => (JobState::Done, Ok(output)),
+        Err(_) if !abnormal && cancel.is_cancelled() => {
+            (JobState::Cancelled, Err("cancelled".to_owned()))
+        }
+        Err(error) => (JobState::Failed, Err(error)),
     };
 
     let mut table = shared.table.lock().expect("job table poisoned");
-    if BUG_LEAK_INFLIGHT.fire() != FaultAction::Trigger {
-        table.inflight.remove(key.as_hex());
-    }
     // Poison accounting. A success clears the key's tally (it is
     // provably not poison); an abnormal failure — panic, watchdog kill,
     // budget breach — journals an `attempt` and, at the threshold, pins
     // the key so it never executes again.
-    let mut quarantine_error = None;
-    if outcome.is_ok() {
-        // The trailing `Done{done}` journal record below also clears the
-        // key's durable attempt tally on replay.
+    if state == JobState::Done {
+        // The trailing `Done{done}` journal record also clears the key's
+        // durable attempt tally on replay.
         table.attempts.remove(key.as_hex());
-    } else if let (Some(kind), Err(reason)) = (&abnormal, &outcome) {
-        match kind {
-            Abnormal::Watchdog => shared.metrics.watchdog_fired.inc(),
-            Abnormal::Budget => shared.metrics.budget_breached.inc(),
-            Abnormal::Panic => {}
-        }
-        let threshold = shared.hardening.quarantine_threshold;
-        if threshold > 0 {
-            let entry = table.attempts.entry(key.as_hex().to_owned()).or_insert((0, String::new()));
-            entry.0 += 1;
-            entry.1 = reason.clone();
-            let count = entry.0;
-            journal_append(
-                shared,
-                &JournalRecord::Attempt {
-                    key: key.as_hex().to_owned(),
-                    attempt: count,
-                    reason: reason.clone(),
-                },
-            );
-            if count >= threshold {
-                let error = quarantine_message(count, reason);
-                table.attempts.remove(key.as_hex());
-                table.quarantined.insert(key.as_hex().to_owned(), error.clone());
-                shared.metrics.jobs_quarantined.inc();
-                journal_append(
-                    shared,
-                    &JournalRecord::Quarantined {
-                        key: key.as_hex().to_owned(),
-                        error: error.clone(),
-                    },
-                );
-                final_state = JobState::Quarantined;
-                quarantine_error = Some(error);
-            }
-        }
-    }
-    if let Some(record) = table.records.get_mut(&id) {
-        let tenant_metrics = shared.metrics.tenant(&tenant);
-        match (final_state, outcome) {
-            (JobState::Done, Ok(output)) => {
-                record.status.state = JobState::Done;
-                record.status.output = Some(output);
-                shared.metrics.jobs_completed.inc();
-                tenant_metrics.completed.inc();
-            }
-            (JobState::Cancelled, _) => {
-                record.status.state = JobState::Cancelled;
-                record.status.error = Some("cancelled".to_owned());
-                shared.metrics.jobs_cancelled.inc();
-                tenant_metrics.errored.inc();
-            }
-            (JobState::Quarantined, Err(_)) => {
-                record.status.state = JobState::Quarantined;
-                record.status.error = quarantine_error.clone();
-                tenant_metrics.errored.inc();
-            }
-            (_, Err(error)) => {
-                record.status.state = JobState::Failed;
-                record.status.error = Some(error);
-                shared.metrics.jobs_failed.inc();
-                tenant_metrics.errored.inc();
-            }
-            _ => unreachable!("final_state derives from outcome"),
-        }
-        shared.metrics.job_latency_us.record_duration(submitted_at.elapsed());
-        tenant_metrics.latency_us.record_duration(submitted_at.elapsed());
-        publish_terminal(shared, id, record.status.state);
-        finish_bookkeeping(&mut table, shared, id);
-    }
-    // A job force-cancelled by a drain keeps its journal record open so
-    // the restarted service resumes it; every other terminal state is
-    // recorded (still under the table lock, preserving order).
-    let drain_cancel =
-        final_state == JobState::Cancelled && shared.draining.load(AtomicOrdering::SeqCst);
-    if !drain_cancel {
+    } else if abnormal && shared.hardening.quarantine_threshold > 0 {
+        let reason = result.as_ref().expect_err("an abnormal end is a failure").clone();
+        let entry = table.attempts.entry(key.as_hex().to_owned()).or_insert((0, String::new()));
+        entry.0 += 1;
+        entry.1 = reason.clone();
+        let attempt = entry.0;
         journal_append(
             shared,
-            &JournalRecord::Done {
-                key: key.as_hex().to_owned(),
-                state: final_state.name().to_owned(),
-            },
+            &JournalRecord::Attempt { key: key.as_hex().to_owned(), attempt, reason },
         );
+        if let Some(error) = pin_if_due(&mut table, shared, key.as_hex()) {
+            state = JobState::Quarantined;
+            result = Err(error);
+        }
     }
-    drop(table);
-    shared.job_done.notify_all();
+    settle(&mut table, shared, id, state, result);
 }
 
 #[cfg(test)]
@@ -1921,8 +1834,9 @@ mod tests {
         nemfpga_runtime::cancel::silence_cancel_panics();
         let exec: Executor = Arc::new(|_| {
             // Allocate well past the 1 MiB ceiling, then hit a normal
-            // engine checkpoint — enforcement is cooperative.
-            let buf = vec![7u8; 4 << 20];
+            // engine checkpoint — enforcement is cooperative. `black_box`
+            // keeps an optimized build from eliding the allocation.
+            let buf = std::hint::black_box(vec![7u8; 4 << 20]);
             cancel::checkpoint();
             Ok(format!("never returned ({})", buf.len()))
         });
@@ -1968,7 +1882,6 @@ mod tests {
             hardening: HardeningConfig {
                 quarantine_threshold: 0,
                 watchdog_factor: 1,
-                watchdog_poll: Duration::from_millis(5),
                 ..HardeningConfig::default()
             },
             ..SchedulerConfig::default()
@@ -2038,5 +1951,133 @@ mod tests {
             s.wait_for(after.status.id, Duration::from_secs(30)).unwrap().state,
             JobState::Done
         );
+    }
+
+    /// Terminal `state` events on `id`'s channel, read until it closes.
+    fn terminal_events(s: &Scheduler, id: u64) -> usize {
+        let channel = s.event_channel(id).expect("live record has a channel");
+        let mut cursor = 0;
+        let mut terminal = 0;
+        loop {
+            match channel.next_after(cursor, Duration::from_secs(5)) {
+                crate::events::Poll::Event(event) => {
+                    cursor = event.seq;
+                    if let EventKind::State { state } = event.kind {
+                        let state = JobState::from_name(&state).expect("known state name");
+                        terminal += usize::from(state.is_terminal());
+                    }
+                }
+                crate::events::Poll::Closed => return terminal,
+                crate::events::Poll::Timeout => panic!("job {id}'s stream must close"),
+            }
+        }
+    }
+
+    #[test]
+    fn every_admission_outcome_books_exactly_one_ledger_term() {
+        // One worker, held inside the executor until `gate` is released,
+        // so the queue states below are exact rather than timed.
+        let gate = Arc::new(Mutex::new(()));
+        let (started_tx, started_rx) = std::sync::mpsc::channel::<u64>();
+        let exec_gate = Arc::clone(&gate);
+        let exec: Executor = Arc::new(move |req: &ExperimentRequest| {
+            started_tx.send(req.seed).expect("test is listening");
+            let _open = exec_gate.lock().expect("gate poisoned");
+            Ok(format!("output for seed {}\n", req.seed))
+        });
+        let cfg = SchedulerConfig {
+            parallel: ParallelConfig::with_threads(1),
+            queue_capacity: 2,
+            qos: QosPolicy { max_queued: 1, ..QosPolicy::default() },
+            hardening: HardeningConfig {
+                // Real queue waits never reach a minute; the test trips
+                // the brownout by injecting one such sample.
+                overload: OverloadPolicy {
+                    enter_wait_ms: 60_000,
+                    sample_ttl: Duration::from_secs(3600),
+                    min_dwell: Duration::ZERO,
+                    ..OverloadPolicy::default()
+                },
+                ..HardeningConfig::default()
+            },
+            ..SchedulerConfig::default()
+        };
+        let metrics = Arc::new(Metrics::default());
+        let s = Scheduler::new(&cfg, ResultCache::new(64, None), Arc::clone(&metrics), exec);
+        let tenant = |name: &str| SubmitOptions {
+            tenant: Some(name.to_owned()),
+            ..SubmitOptions::default()
+        };
+        let balanced = |step: &str| {
+            assert_eq!(
+                metrics.jobs_submitted.get(),
+                metrics.admission_ledger(),
+                "ledger leaks after {step}"
+            );
+        };
+        let held = gate.lock().expect("gate poisoned");
+
+        // Miss: the single worker picks it up and blocks in the executor.
+        let running = s.submit(request(500)).unwrap();
+        assert_eq!(started_rx.recv().unwrap(), 500);
+        balanced("a miss");
+        let coalesced = s.submit(request(500)).unwrap();
+        assert!(coalesced.coalesced);
+        assert_eq!(coalesced.status.id, running.status.id);
+        balanced("a coalesce");
+        // The default tenant's one queue slot fills, then its quota trips.
+        let queued = s.submit(request(501)).unwrap();
+        balanced("a queued miss");
+        assert!(matches!(s.submit(request(502)), Err(SubmitError::QuotaExceeded(_))));
+        balanced("a quota refusal");
+        // A second tenant takes the pool's last slot; a third finds it full.
+        let other = s.submit_opts(request(503), tenant("t2")).unwrap();
+        balanced("a second tenant's miss");
+        assert!(matches!(s.submit_opts(request(504), tenant("t3")), Err(SubmitError::QueueFull)));
+        balanced("a queue-full refusal");
+        assert_eq!(metrics.cache_misses.get(), 5, "quota and queue-full refusals are misses");
+        assert_eq!(metrics.jobs_rejected.get(), 2);
+
+        drop(held);
+        for sub in [&running, &queued, &other] {
+            let done = s.wait_for(sub.status.id, Duration::from_secs(30)).unwrap();
+            assert_eq!(done.state, JobState::Done);
+        }
+        let hit = s.submit(request(500)).unwrap();
+        assert_eq!(hit.cache_tier, Some(CacheTier::Memory));
+        balanced("a memory hit");
+
+        let poison = job_key(&request(505)).unwrap();
+        s.preload_hardening(&[], &[(poison.as_hex().to_owned(), "pinned".to_owned())]);
+        let pinned = s.submit(request(505)).unwrap();
+        assert_eq!(pinned.status.state, JobState::Quarantined);
+        balanced("a quarantine hit");
+
+        // Brownout: each submission evaluates the controller, which
+        // climbs one stage per evaluation with no dwell.
+        s.shared.overload.record_wait(60_000);
+        let batch = SubmitOptions { lane: Lane::Batch, ..SubmitOptions::default() };
+        assert_eq!(s.submit_opts(request(506), batch).unwrap_err(), SubmitError::Overloaded(1));
+        balanced("a batch shed");
+        assert_eq!(s.submit(request(507)).unwrap_err(), SubmitError::Overloaded(2));
+        balanced("a fresh shed");
+        assert_eq!(s.submit(request(500)).unwrap_err(), SubmitError::Overloaded(3));
+        balanced("a reject shed");
+
+        for (term, value) in [
+            ("cache_hits_memory", metrics.cache_hits_memory.get()),
+            ("coalesced", metrics.coalesced.get()),
+            ("quarantine_hits", metrics.quarantine_hits.get()),
+            ("overload_shed_batch", metrics.overload_shed_batch.get()),
+            ("overload_shed_fresh", metrics.overload_shed_fresh.get()),
+            ("overload_shed_reject", metrics.overload_shed_reject.get()),
+        ] {
+            assert_eq!(value, 1, "{term}");
+        }
+        assert_eq!(metrics.jobs_submitted.get(), 11);
+        for id in [running.status.id, queued.status.id, other.status.id, hit.status.id] {
+            assert_eq!(terminal_events(&s, id), 1, "job {id}");
+        }
+        assert_eq!(terminal_events(&s, pinned.status.id), 1);
     }
 }

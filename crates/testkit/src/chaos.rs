@@ -480,11 +480,10 @@ pub fn run_chaos(cfg: &ChaosConfig, plan: &FaultPlan) -> ChaosReport {
             "jobs_submitted = {submitted} but clients saw {accepted_posts} accepted posts"
         ));
     }
-    // A quarantine-pinned submission is none of hit/coalesce/miss: it is
-    // answered from the pin, and counts in `quarantine_hits`.
-    if submitted != hits + coalesced + misses + quarantine_hits {
+    let ledger = m.admission_ledger();
+    if submitted != ledger {
         violations.push(format!(
-            "submission ledger leaks: {submitted} submitted != {hits} hits + {coalesced} coalesced + {misses} misses + {quarantine_hits} quarantine hits"
+            "submission ledger leaks: {submitted} submitted != {ledger} booked ({hits} hits + {coalesced} coalesced + {misses} misses + {quarantine_hits} quarantine hits + sheds)"
         ));
     }
     // A miss that ends pinned settles as `jobs_quarantined`, not failed.

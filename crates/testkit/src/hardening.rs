@@ -35,6 +35,7 @@ use nemfpga_service::json::Value;
 use nemfpga_service::{http_request, job_key, HardeningConfig, JobState, Service, ServiceConfig};
 
 use crate::chaos::expected_output;
+use crate::plan::FaultScope;
 
 /// Request seed reserved for the poison job; normal jobs use seeds
 /// below this, so the marker can never collide.
@@ -104,6 +105,10 @@ impl CrashLoopReport {
 /// Runs one crash-loop experiment. See the module docs for the
 /// incarnation schedule and the invariants.
 pub fn run_crash_loop(cfg: &CrashLoopConfig) -> CrashLoopReport {
+    // Own the fault registry for the whole run: it arms nothing, but a
+    // concurrently armed plan would fail the journal appends that carry
+    // the attempt tally across incarnations.
+    let _scope = FaultScope::begin();
     let threshold = cfg.quarantine_threshold.max(1);
     let root = cfg.root.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("nemfpga-crash-loop-{}", std::process::id()))

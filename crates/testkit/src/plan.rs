@@ -251,6 +251,12 @@ impl FaultScope {
         Self { _guard: guard }
     }
 
+    /// Removes every armed hook and zeroes the hit counts, keeping the
+    /// registry owned.
+    pub fn disarm(&self) {
+        faults::reset();
+    }
+
     /// Installs every rule of `plan`. Rules targeting the same site are
     /// merged into one hook; the first rule whose condition fires wins.
     pub fn arm_plan(&self, plan: &FaultPlan) {

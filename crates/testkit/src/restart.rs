@@ -275,7 +275,9 @@ pub fn run_restart(cfg: &RestartConfig) -> RestartReport {
     // The crash: no drain, no flush — whatever the frozen disks dropped
     // stays dropped.
     service.shutdown();
-    drop(scope);
+    // Disarm the crash plan but keep owning the fault registry: a
+    // sibling scenario's journal faults must not reach incarnation 2.
+    scope.disarm();
 
     // A job a previous incarnation accepted whose deadline passed while
     // everything was down: durable, and outside the live keyspace so any
@@ -404,10 +406,10 @@ pub fn run_restart(cfg: &RestartConfig) -> RestartReport {
 
     // 4b. The submission ledger balances in the restarted incarnation.
     let submitted = metrics.jobs_submitted.get();
-    let ledger = metrics.cache_hits() + metrics.coalesced.get() + metrics.cache_misses.get();
+    let ledger = metrics.admission_ledger();
     if submitted != ledger {
         violations.push(format!(
-            "post-restart submission ledger leaks: {submitted} submitted != {ledger} hits+coalesced+misses"
+            "post-restart submission ledger leaks: {submitted} submitted != {ledger} booked"
         ));
     }
     let recomputed = computes_after.values().sum();

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full local gate: format, lints, tests, a service smoke test, and a
-# smoke pass over every Criterion bench. Run before pushing.
+# Full local gate: format, lints, tests, a service smoke test, a smoke
+# pass over every Criterion bench, and the perfbench harness's own
+# tests. Run before pushing.
 #
 # `--chaos` appends the adversarial stage: the chaos driver over 20
 # fixed seeds, both guarded-bug detection runs (which must FAIL loudly,
@@ -87,6 +88,11 @@ cargo run -q -p nemfpga-bench --bin serve -- --self-test
 
 echo "==> cargo bench -- --test (smoke)"
 cargo bench --workspace -- --test
+
+# perfbench is its own workspace, so the workspace-wide steps above
+# never build it; a library API change could break it unnoticed.
+echo "==> perfbench harness tests"
+CARGO_TARGET_DIR=.bench_build cargo test -q --manifest-path perfbench/Cargo.toml
 
 if [[ "$RUN_CHAOS" -eq 1 ]]; then
     echo "==> chaos: 20 seeded fault plans against the live serve loop"
